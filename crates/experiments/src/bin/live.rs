@@ -369,6 +369,7 @@ fn report_recovery(dir: &std::path::Path) -> ExitCode {
                 .kv("granted", state.granted_total())
                 .kv("burned", state.burned_total())
                 .kv("replayed", state.replayed)
+                .kv("negative_balances", state.negative_balances)
                 .kv(
                     "snapshot",
                     match state.snapshot_id {
@@ -471,6 +472,7 @@ fn run_durable(
             .kv("balances_sum", state.balances_sum())
             .kv("replayed", state.replayed)
             .kv("truncations", state.truncations.len())
+            .kv("negative_balances", state.negative_balances)
             .emit();
         let p = Persistence::resume(&pcfg, &state).map_err(|e| {
             fail_line(

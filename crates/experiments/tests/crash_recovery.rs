@@ -15,9 +15,12 @@ use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use ta_live::persist::journal::{list_segments, scan_segment, FramePayload};
+use ta_live::persist::journal::{
+    encode_frame, encode_range_frame, list_segments, scan_segment, segment_path, DeltaRec,
+    FramePayload, RangeRec,
+};
 use ta_live::persist::snapshot::{list_snapshot_files, load as load_snapshot, SnapshotData};
-use ta_live::persist::{read_manifest, recover};
+use ta_live::persist::{read_manifest, recover, PersistConfig, Persistence};
 
 /// An independently folded image of the on-disk state.
 struct Reference {
@@ -310,6 +313,67 @@ fn degraded_run_survives_disk_full_and_reconciles() {
         .expect("run live --recover");
     assert!(rec.success(), "live --recover rejected the directory");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A damaged journal can hide a grant while keeping the spend it
+/// funded: the surviving prefix then holds a negative balance, and both
+/// `event=recovered` and `event=resumed` must say how many.
+#[test]
+fn hidden_grant_reports_a_negative_balance() {
+    let dir = std::env::temp_dir().join(format!("ta-crash-negative-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    Persistence::open(&PersistConfig::new(&dir), 4, 1)
+        .unwrap()
+        .shutdown()
+        .unwrap();
+    // Spend (seq 1), a frame with a broken CRC, then the grant (seq 0)
+    // the spend drew on: recovery keeps only the spend.
+    let mut seg = Vec::new();
+    let spend = |seq, out: &mut Vec<u8>| {
+        encode_frame(
+            0,
+            &[DeltaRec {
+                seq,
+                client: 2,
+                delta: -1,
+            }],
+            out,
+        )
+    };
+    spend(1, &mut seg);
+    let mut corrupt = Vec::new();
+    spend(2, &mut corrupt);
+    corrupt[12] ^= 0x01;
+    seg.extend(corrupt);
+    encode_range_frame(
+        0,
+        &[RangeRec {
+            seq: 0,
+            lo: 0,
+            len: 4,
+        }],
+        &mut seg,
+    );
+    std::fs::write(segment_path(&dir, 0), &seg).unwrap();
+
+    let live = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_live"))
+            .args(args)
+            .arg("--journal-dir")
+            .arg(&dir)
+            .stderr(Stdio::null())
+            .output()
+            .expect("run live binary")
+    };
+    let rec = live(&["--recover"]);
+    assert_eq!(rec.status.code(), Some(4), "a truncated journal exits 4");
+    let stdout = String::from_utf8_lossy(&rec.stdout);
+    assert_eq!(event_field(&stdout, "recovered", "negative_balances"), 1);
+
+    let run = live(&["--clients", "4", "--duration-secs", "0.2"]);
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert_eq!(event_field(&stdout, "resumed", "negative_balances"), 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -38,9 +38,21 @@
 //! commits (one `write` + optional `fsync`) once per group-commit
 //! interval. Records in producer buffers or in an uncommitted batch at
 //! kill time are lost; recovery restores the exact surviving prefix.
+//!
+//! ## Read path
+//!
+//! [`walk_frames`] is the one frame parser. It walks a byte window
+//! frame by frame, checks each CRC, and lends each frame's shard and
+//! packed record bytes ([`FrameRecords`]) to a callback without copying
+//! or allocating. It returns how many bytes it walked and why it
+//! stopped: a [`FrameError::Torn`] at the end of a window only means
+//! "refill from here", so recovery streams a segment through a fixed
+//! buffer and folds records as they pass. [`scan_segment`] collects the
+//! same walk into owned [`ParsedFrame`]s for tools and tests.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -166,6 +178,75 @@ pub fn encode_range_frame(shard: u32, recs: &[RangeRec], out: &mut Vec<u8>) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
+/// The records of one CRC-valid frame, borrowed from the walked bytes
+/// (see [`walk_frames`]). Decode them with [`delta_fields`] /
+/// [`range_fields`] over `chunks_exact` of the record width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameRecords<'a> {
+    /// A "TAJF" frame: packed [`DELTA_REC_BYTES`]-byte records, each
+    /// sequenced relative to `base_seq`.
+    Deltas {
+        /// The frame header's full sequence number.
+        base_seq: u64,
+        /// `count × DELTA_REC_BYTES` record bytes.
+        packed: &'a [u8],
+    },
+    /// A "TAJR" frame: packed [`RANGE_REC_BYTES`]-byte records.
+    Ranges(&'a [u8]),
+}
+
+impl FrameRecords<'_> {
+    /// Decodes the records into owned form. A delta sequence that would
+    /// overflow `u64` wraps here; the writer never produces one, and
+    /// recovery rejects such a frame as corrupt.
+    fn to_payload(self) -> FramePayload {
+        match self {
+            FrameRecords::Deltas { base_seq, packed } => FramePayload::Deltas(
+                packed
+                    .chunks_exact(DELTA_REC_BYTES)
+                    .map(|rec| {
+                        let (off, delta, client) = delta_fields(rec);
+                        DeltaRec {
+                            seq: base_seq.wrapping_add(u64::from(off)),
+                            client,
+                            delta: i32::from(delta),
+                        }
+                    })
+                    .collect(),
+            ),
+            FrameRecords::Ranges(packed) => FramePayload::Ranges(
+                packed
+                    .chunks_exact(RANGE_REC_BYTES)
+                    .map(|rec| {
+                        let (seq, lo, len) = range_fields(rec);
+                        RangeRec { seq, lo, len }
+                    })
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// `(seq_off, delta, client)` of one packed delta record.
+#[inline]
+pub fn delta_fields(rec: &[u8]) -> (u16, i16, u32) {
+    (
+        u16::from_le_bytes([rec[0], rec[1]]),
+        i16::from_le_bytes([rec[2], rec[3]]),
+        u32::from_le_bytes([rec[4], rec[5], rec[6], rec[7]]),
+    )
+}
+
+/// `(seq, lo, len)` of one packed range record.
+#[inline]
+pub fn range_fields(rec: &[u8]) -> (u64, u32, u32) {
+    (
+        u64::from_le_bytes(rec[0..8].try_into().unwrap()),
+        u32::from_le_bytes(rec[8..12].try_into().unwrap()),
+        u32::from_le_bytes(rec[12..16].try_into().unwrap()),
+    )
+}
+
 /// The records a frame carries, by frame kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FramePayload {
@@ -195,6 +276,76 @@ pub enum FrameError {
     BadCrc,
 }
 
+/// Bytes of the header every frame kind starts with (magic, shard,
+/// count) — enough to know the frame's full length.
+pub(crate) const FRAME_HEADER_BYTES: usize = 12;
+
+/// Total length of the frame whose header starts `bytes` (which must
+/// hold at least [`FRAME_HEADER_BYTES`]), or `None` for a bad magic.
+/// Computed in `u64` so a hostile `count` cannot overflow.
+pub(crate) fn frame_len(bytes: &[u8]) -> Option<u64> {
+    let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
+    let count = u64::from(u32::from_le_bytes(bytes[8..12].try_into().unwrap()));
+    match magic {
+        FRAME_MAGIC => Some(DELTA_FRAME_OVERHEAD as u64 + count * DELTA_REC_BYTES as u64),
+        RANGE_MAGIC => Some(RANGE_FRAME_OVERHEAD as u64 + count * RANGE_REC_BYTES as u64),
+        _ => None,
+    }
+}
+
+/// The one frame parser. Walks the frames of `bytes` in order, checks
+/// each frame's CRC, and hands its shard and borrowed records to
+/// `visit`. Returns the byte length of the frames walked and why the
+/// walk stopped short of the end, if it did:
+///
+/// - `(bytes.len(), None)`: `bytes` ended exactly on a frame boundary.
+/// - `(n, Some(Torn))`: `bytes` ends inside the frame at `n`. Its header
+///   may claim any length; nothing is allocated for it.
+/// - `(n, Some(BadMagic | BadCrc))`: the frame at `n` is corrupt.
+/// - `(n, None)` with `n < bytes.len()`: `visit` broke on the frame at
+///   `n`, which therefore does not count as walked.
+///
+/// Nothing is copied or allocated, so a reader can walk a window of a
+/// file and, on `Torn`, refill the window from offset `n`.
+pub fn walk_frames(
+    bytes: &[u8],
+    mut visit: impl FnMut(u32, FrameRecords<'_>) -> ControlFlow<()>,
+) -> (usize, Option<FrameError>) {
+    let mut pos = 0usize;
+    while pos < bytes.len() {
+        let rest = &bytes[pos..];
+        if rest.len() < FRAME_HEADER_BYTES {
+            return (pos, Some(FrameError::Torn));
+        }
+        let Some(len) = frame_len(rest) else {
+            return (pos, Some(FrameError::BadMagic));
+        };
+        if (rest.len() as u64) < len {
+            return (pos, Some(FrameError::Torn));
+        }
+        let frame = &rest[..len as usize];
+        let (body, crc) = frame.split_at(frame.len() - 4);
+        if u32::from_le_bytes(crc.try_into().unwrap()) != crc32(&body[4..]) {
+            return (pos, Some(FrameError::BadCrc));
+        }
+        let shard = u32::from_le_bytes(body[4..8].try_into().unwrap());
+        let magic = u32::from_le_bytes(body[0..4].try_into().unwrap());
+        let recs = if magic == FRAME_MAGIC {
+            FrameRecords::Deltas {
+                base_seq: u64::from_le_bytes(body[12..20].try_into().unwrap()),
+                packed: &body[20..],
+            }
+        } else {
+            FrameRecords::Ranges(&body[FRAME_HEADER_BYTES..])
+        };
+        if visit(shard, recs).is_break() {
+            return (pos, None);
+        }
+        pos += frame.len();
+    }
+    (pos, None)
+}
+
 /// Result of scanning one segment: the complete valid frames, the byte
 /// length they occupy, and the reason the scan stopped early (if it
 /// did — `None` means the file ended exactly on a frame boundary).
@@ -209,71 +360,20 @@ pub struct SegmentScan {
 }
 
 /// Scans raw segment bytes into frames, stopping at the first torn or
-/// corrupt frame.
+/// corrupt frame: [`walk_frames`], collected. Recovery folds frames as
+/// it walks them instead; this owned form is for tools and tests.
 pub fn scan_segment(bytes: &[u8]) -> SegmentScan {
     let mut frames = Vec::new();
-    let mut pos = 0usize;
-    let error = loop {
-        if pos == bytes.len() {
-            break None;
-        }
-        if bytes.len() - pos < 12 {
-            break Some(FrameError::Torn);
-        }
-        let magic = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        if magic != FRAME_MAGIC && magic != RANGE_MAGIC {
-            break Some(FrameError::BadMagic);
-        }
-        let shard = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let count = u32::from_le_bytes(bytes[pos + 8..pos + 12].try_into().unwrap()) as usize;
-        let frame_len = if magic == FRAME_MAGIC {
-            DELTA_FRAME_OVERHEAD + count * DELTA_REC_BYTES
-        } else {
-            RANGE_FRAME_OVERHEAD + count * RANGE_REC_BYTES
-        };
-        if bytes.len() - pos < frame_len {
-            break Some(FrameError::Torn);
-        }
-        let payload_end = pos + frame_len - 4;
-        let crc = u32::from_le_bytes(bytes[payload_end..payload_end + 4].try_into().unwrap());
-        if crc != crc32(&bytes[pos + 4..payload_end]) {
-            break Some(FrameError::BadCrc);
-        }
-        let payload = if magic == FRAME_MAGIC {
-            let base = u64::from_le_bytes(bytes[pos + 12..pos + 20].try_into().unwrap());
-            let mut rp = pos + 20;
-            let mut recs = Vec::with_capacity(count);
-            for _ in 0..count {
-                let off = u16::from_le_bytes(bytes[rp..rp + 2].try_into().unwrap());
-                let delta = i16::from_le_bytes(bytes[rp + 2..rp + 4].try_into().unwrap());
-                let client = u32::from_le_bytes(bytes[rp + 4..rp + 8].try_into().unwrap());
-                recs.push(DeltaRec {
-                    seq: base + u64::from(off),
-                    client,
-                    delta: i32::from(delta),
-                });
-                rp += DELTA_REC_BYTES;
-            }
-            FramePayload::Deltas(recs)
-        } else {
-            let mut rp = pos + 12;
-            let mut recs = Vec::with_capacity(count);
-            for _ in 0..count {
-                recs.push(RangeRec {
-                    seq: u64::from_le_bytes(bytes[rp..rp + 8].try_into().unwrap()),
-                    lo: u32::from_le_bytes(bytes[rp + 8..rp + 12].try_into().unwrap()),
-                    len: u32::from_le_bytes(bytes[rp + 12..rp + 16].try_into().unwrap()),
-                });
-                rp += RANGE_REC_BYTES;
-            }
-            FramePayload::Ranges(recs)
-        };
-        frames.push(ParsedFrame { shard, payload });
-        pos += frame_len;
-    };
+    let (valid_len, error) = walk_frames(bytes, |shard, recs| {
+        frames.push(ParsedFrame {
+            shard,
+            payload: recs.to_payload(),
+        });
+        ControlFlow::Continue(())
+    });
     SegmentScan {
         frames,
-        valid_len: pos,
+        valid_len,
         error,
     }
 }
@@ -1368,6 +1468,25 @@ mod tests {
         encode_frame(2, &recs(6), &mut bytes2);
         bytes2[prefix_len] ^= 0xFF;
         assert_eq!(scan_segment(&bytes2).error, Some(FrameError::BadMagic));
+    }
+
+    #[test]
+    fn walker_break_leaves_the_frame_unwalked() {
+        let mut bytes = Vec::new();
+        encode_frame(1, &recs(4), &mut bytes);
+        let second = bytes.len();
+        encode_frame(2, &recs(6), &mut bytes);
+        let mut shards = Vec::new();
+        let walked = walk_frames(&bytes, |shard, _| {
+            shards.push(shard);
+            if shard == 2 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(walked, (second, None));
+        assert_eq!(shards, vec![1, 2]);
     }
 
     #[test]

@@ -90,31 +90,61 @@ impl PersistConfig {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — frames,
-/// snapshots, and the manifest all carry one.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
+/// Slicing-by-8 tables for [`crc32`]: `CRC_TABLES[0]` is the classic
+/// bytewise table; `CRC_TABLES[k][b]` is the CRC state after byte `b`
+/// followed by `k` zero bytes, so eight table lookups fold eight input
+/// bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
         }
-        table
-    };
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — frames,
+/// snapshots, and the manifest all carry one. Slicing-by-8: eight bytes
+/// per step through [`CRC_TABLES`], the tail bytewise.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -585,12 +615,47 @@ impl Drop for Persistence {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    /// Bytewise reference CRC, straight from the polynomial.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        #[test]
+        fn crc32_slicing_matches_bytewise(
+            buf in proptest::collection::vec(any::<u8>(), 72),
+            start in 0usize..8,
+            len in 0usize..=64,
+        ) {
+            let bytes = &buf[start..start + len];
+            prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes));
+        }
     }
 
     #[test]
